@@ -158,8 +158,7 @@ bool seedChunk(const DeltaPushShared& s, std::size_t begin, std::size_t end,
   std::size_t i = begin;
   while ((i = s.affected.firstNonZero(i, end)) < end) {
     const auto v = static_cast<VertexId>(i);
-    const double target =
-        pullRankDispatch(s.pull, s.graph, s.ranks, v, alpha, base);
+    const double target = pullRank(s.graph, s.ranks, v, alpha, base);
     s.residual.store(i, target - s.ranks.load(i));
     LFPR_COUNT(s.stats, rePulls, 1);
     if (tid >= 0 && s.fault != nullptr && !s.fault->onVertexProcessed(tid))
@@ -219,13 +218,31 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
   const int maxRounds = s.opt.maxIterations;
   const std::size_t oBegin = wl.ownedBegin(tid);
   const std::size_t oEnd = wl.ownedEnd(tid);
-  // Same sweep-equivalent round cap as lfWorklistWorker: one round is at
-  // most n drains, so maxIterations bounds comparable total work.
+  // Sweep-equivalent rounds: every `budget` = n drains completes one
+  // round, so maxIterations bounds the work of that many dense sweeps
+  // however finely a worker's drains interleave with its peers'.
+  // Charging each partial drain loop as a round would cap a healthy
+  // multicore solve after a few hundred tiny loops and report it
+  // unconverged. Reported iterations count rounds begun.
   const std::size_t budget = std::max<std::size_t>(n, 1);
   std::uint64_t updates = 0;
   std::size_t scanHint = 0;
+  // Every return path leaves the running count (see the healthy-mode
+  // wait below).
+  struct ExitNote {
+    std::atomic<int>& running;
+    ~ExitNote() { running.fetch_sub(1, std::memory_order_relaxed); }
+  } exitNote{s.runningWorkers};
 
   int round = 0;
+  std::size_t drained = 0;  // drains into the current round
+  const auto chargeDrains = [&](std::size_t k) {
+    drained += k;
+    round += static_cast<int>(drained / budget);
+    drained %= budget;
+    atomicMaxInt(s.maxRound,
+                 std::min(maxRounds, round + (drained > 0 ? 1 : 0)));
+  };
   int idleRounds = 0;
   while (round < maxRounds) {
     if (exitLoops(s)) break;
@@ -248,18 +265,17 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
     }
     if ((pops & 63u) != 0) wl.noteProgress(pops & 63u);
     if (pops >= budget) {
-      ++round;
-      atomicMaxInt(s.maxRound, round);
+      chargeDrains(pops);
       idleRounds = 0;
       continue;
     }
 
     // Ring dry: reconcile the owned partition against the flags
     // (word-wide scan, one relaxed load per eight flags).
-    bool dirt = false;
+    std::size_t reconciled = 0;
     std::size_t i = oBegin;
     while ((i = s.notConverged.firstNonZero(i, oEnd)) < oEnd) {
-      dirt = true;
+      ++reconciled;
       drainVertex(s, i, diet, updates);
       wl.noteProgress(1);
       if (s.fault != nullptr && !s.fault->onVertexProcessed(tid)) {
@@ -268,9 +284,8 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
       }
       ++i;
     }
-    if (dirt || pops > 0) {
-      ++round;
-      atomicMaxInt(s.maxRound, round);
+    if (reconciled > 0 || pops > 0) {
+      chargeDrains(pops + reconciled);
       idleRounds = 0;
       continue;
     }
@@ -281,9 +296,23 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
       break;
     }
 
-    // Global dirt remains. If its owner makes progress across a yield it
-    // is alive — leave the dirt alone (competing with a healthy owner
-    // sustains churn; see WorklistScheduler::noteProgress).
+    // Global dirt remains. In a healthy solve, while every worker is
+    // still running every partition has an owner that will drain it —
+    // and any of them may yet push mass across the threshold into THIS
+    // partition, which only its owner may drain (no takeover; below). So
+    // wait without spending budget: a bounded wait ends in microseconds
+    // on a multicore host and would strand a peer's later activations
+    // here. Once any worker has returned (capped out or stopped) fall
+    // back to the bounded wait, so the run cannot spin on orphaned dirt.
+    if (s.fault == nullptr &&
+        s.runningWorkers.load(std::memory_order_relaxed) == wl.numThreads()) {
+      std::this_thread::yield();
+      continue;
+    }
+
+    // If the dirt's owner makes progress across a yield it is alive —
+    // leave the dirt alone (competing with a healthy owner sustains
+    // churn; see WorklistScheduler::noteProgress).
     const std::uint64_t before = wl.progress();
     std::this_thread::yield();
     if (wl.progress() != before) {
@@ -328,8 +357,7 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
       ++i;
     }
     if (helped > 0 || swept > 0) {
-      ++round;
-      atomicMaxInt(s.maxRound, round);
+      chargeDrains(helped + swept);
       idleRounds = 0;
       continue;
     }

@@ -26,7 +26,6 @@
 #include <cstdint>
 
 #include "graph/csr.hpp"
-#include "graph/pull_csr.hpp"
 #include "pagerank/atomics.hpp"
 #include "pagerank/detail/stats.hpp"
 #include "pagerank/options.hpp"
@@ -38,9 +37,6 @@ namespace lfpr::detail {
 
 struct DeltaPushShared {
   const CsrGraph& graph;
-  /// Seed-phase pull layout (PullLayout::Weighted support); the push
-  /// iteration itself never pulls.
-  const WeightedPullCsr* pull = nullptr;
   AtomicF64Vector& ranks;
   /// Per-vertex pending-mass accumulators (LfEngineState::residual).
   AtomicF64Vector& residual;
@@ -54,6 +50,9 @@ struct DeltaPushShared {
   /// Shared chunk pool over the vertex range for the seed sweep.
   ChunkCursor& seedCursor;
   std::atomic<bool>& allConverged;
+  /// Phase B workers that have not returned yet (sized to the team
+  /// before phase B starts; each worker decrements it on exit).
+  std::atomic<int>& runningWorkers;
   std::atomic<int>& maxRound;
   std::atomic<std::uint64_t>& rankUpdates;
   const PageRankOptions& opt;

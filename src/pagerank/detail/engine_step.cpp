@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "pagerank/detail/common.hpp"
 #include "pagerank/detail/delta_push.hpp"
 #include "pagerank/detail/lf_iterate.hpp"
 #include "pagerank/detail/marking.hpp"
@@ -19,19 +18,6 @@
 namespace lfpr::detail {
 
 namespace {
-
-/// Dynamic-schedule chunk size for the batch-edge loop of the marking
-/// phase. Batches are usually much smaller than the vertex set, so a
-/// smaller chunk keeps the marking balanced.
-constexpr std::size_t kEdgeChunkSize = 256;
-
-std::vector<Edge> concatBatch(const BatchUpdate& batch) {
-  std::vector<Edge> edges;
-  edges.reserve(batch.size());
-  edges.insert(edges.end(), batch.deletions.begin(), batch.deletions.end());
-  edges.insert(edges.end(), batch.insertions.begin(), batch.insertions.end());
-  return edges;
-}
 
 bool stopSeen(const PageRankOptions& opt) noexcept {
   return opt.stopRequested != nullptr &&
@@ -65,9 +51,6 @@ PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
   PageRankOptions resolved = opt;
   resolved.numThreads = team.size();
 
-  const auto pullCsr = buildPullLayout(resolved, curr);
-  const WeightedPullCsr* pull = pullCsr ? &*pullCsr : nullptr;
-
   // Paper Algorithm 4 note: RC semantics are 1 = "rank has not yet
   // converged"; every vertex starts unconverged for Static/ND.
   state.notConverged.fill(1);
@@ -88,7 +71,6 @@ PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
                                                    /*seedSweep=*/true);
 
   const LfShared shared{curr,
-                        pull,
                         state.ranks,
                         state.notConverged,
                         /*affected=*/nullptr,
@@ -131,16 +113,7 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
   if (state.size() != n)
     throw std::invalid_argument(std::string(name) +
                                 ": prevRanks size must match graph");
-  if (prev.numVertices() != curr.numVertices())
-    throw std::invalid_argument(
-        std::string(name) +
-        ": snapshots must share the vertex set (no vertex insertions/deletions)");
-  for (const Edge& e : batch.deletions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
-  for (const Edge& e : batch.insertions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
+  validateBatchInputs(prev, curr, batch, name);
 
   PageRankResult result;
   if (n == 0) {
@@ -154,8 +127,6 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
   resolved.numThreads = team.size();
 
   const std::vector<Edge> edges = concatBatch(batch);
-  const auto pullCsr = buildPullLayout(resolved, curr);
-  const WeightedPullCsr* pull = pullCsr ? &*pullCsr : nullptr;
   state.affected.fill(0);
   state.notConverged.fill(0);
   state.checked.fill(0);
@@ -186,7 +157,6 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
                                                    /*seedSweep=*/false);
 
   const LfShared iterate{curr,
-                         pull,
                          state.ranks,
                          state.notConverged,
                          &state.affected,
@@ -239,16 +209,7 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   if (state.size() != n)
     throw std::invalid_argument(std::string(name) +
                                 ": prevRanks size must match graph");
-  if (prev.numVertices() != curr.numVertices())
-    throw std::invalid_argument(
-        std::string(name) +
-        ": snapshots must share the vertex set (no vertex insertions/deletions)");
-  for (const Edge& e : batch.deletions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
-  for (const Edge& e : batch.insertions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
+  validateBatchInputs(prev, curr, batch, name);
 
   PageRankResult result;
   if (n == 0) {
@@ -262,8 +223,6 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   resolved.numThreads = team.size();
 
   const std::vector<Edge> edges = concatBatch(batch);
-  const auto pullCsr = buildPullLayout(resolved, curr);
-  const WeightedPullCsr* pull = pullCsr ? &*pullCsr : nullptr;
   state.affected.fill(0);
   state.notConverged.fill(0);
   state.checked.fill(0);
@@ -282,6 +241,7 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   ChunkCursor markCursor(edges.size(), kEdgeChunkSize);
   ChunkCursor seedCursor(n, resolved.chunkSize);
   std::atomic<bool> allConverged{false};
+  std::atomic<int> runningWorkers{team.size()};
   std::atomic<int> maxRound{0};
   std::atomic<std::uint64_t> rankUpdates{0};
   ProtocolCounters counters;
@@ -291,12 +251,14 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   // solve.
   WorklistScheduler worklist(n, team.size(), /*seedSweep=*/false);
 
-  const DeltaPushShared shared{curr,        pull,        state.ranks,
-                               residual,    state.notConverged,
-                               state.affected,           seedDone,
-                               seedCursor,  allConverged, maxRound,
-                               rankUpdates, resolved,    fault,
-                               worklist,    &counters};
+  const DeltaPushShared shared{curr,           state.ranks,
+                               residual,       state.notConverged,
+                               state.affected, seedDone,
+                               seedCursor,     allConverged,
+                               runningWorkers, maxRound,
+                               rankUpdates,    resolved,
+                               fault,          worklist,
+                               &counters};
   const Stopwatch timer;
   // Phase A: DF marking, then residual seeding against the still-frozen
   // ranks. The helping rescans inside both workers mean a returning

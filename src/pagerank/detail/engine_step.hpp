@@ -1,5 +1,5 @@
 // Resumable step API for the lock-free engines (the PR 6 service
-// refactor). The one-shot entry points (powerIterateLF, dynamicLF) used
+// refactor). The one-shot entry points (pagerank.hpp) used
 // to own their working state — rank vector, affected / notConverged /
 // checked flags — allocate it per call, run to convergence, and copy the
 // ranks out. A long-lived service solving batch after batch against the
@@ -21,8 +21,8 @@
 //
 // Both leave the updated ranks IN state.ranks (result.ranks stays empty;
 // the caller decides when a copy is worth it — the service copies only
-// at publish). The one-shot engine entry points are now thin wrappers:
-// seed a fresh state, take one step, copy out. The PR 1 termination
+// at publish). The one-shot engine entry points (pagerank/engines.cpp)
+// are thin wrappers: seed a fresh state, take one step, copy out. The PR 1 termination
 // protocol is untouched — the steps drive the same markAffectedWorker /
 // lfIterateWorker / lfFinishSequential pipeline documented in
 // lf_iterate.cpp; only the ownership of the buffers moved.

@@ -1,10 +1,33 @@
 #include "pagerank/detail/marking.hpp"
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "pagerank/detail/flags.hpp"
 
 namespace lfpr::detail {
+
+std::vector<Edge> concatBatch(const BatchUpdate& batch) {
+  std::vector<Edge> edges;
+  edges.reserve(batch.size());
+  edges.insert(edges.end(), batch.deletions.begin(), batch.deletions.end());
+  edges.insert(edges.end(), batch.insertions.begin(), batch.insertions.end());
+  return edges;
+}
+
+void validateBatchInputs(const CsrGraph& prev, const CsrGraph& curr,
+                         const BatchUpdate& batch, const char* name) {
+  const std::size_t n = curr.numVertices();
+  if (prev.numVertices() != n)
+    throw std::invalid_argument(
+        std::string(name) +
+        ": snapshots must share the vertex set (no vertex insertions/deletions)");
+  for (const auto* edges : {&batch.deletions, &batch.insertions})
+    for (const Edge& e : *edges)
+      if (e.src >= n || e.dst >= n)
+        throw std::out_of_range(std::string(name) + ": batch edge out of range");
+}
 
 namespace {
 

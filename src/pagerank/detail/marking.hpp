@@ -13,6 +13,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "graph/csr.hpp"
 #include "pagerank/atomics.hpp"
@@ -47,6 +48,20 @@ struct MarkShared {
   /// Protocol-cost counters (LFPR_STATS builds; ignored otherwise).
   ProtocolCounters* stats = nullptr;
 };
+
+/// Dynamic-schedule chunk size for the batch-edge loop of the marking
+/// phase. Batches are usually much smaller than the vertex set, so a
+/// smaller chunk keeps the marking balanced.
+constexpr std::size_t kEdgeChunkSize = 256;
+
+/// The marking phase's edge list: deletions ++ insertions.
+std::vector<Edge> concatBatch(const BatchUpdate& batch);
+
+/// Input checks shared by every batch step: the snapshots must share the
+/// vertex set (std::invalid_argument) and every batch edge must lie
+/// inside it (std::out_of_range). Messages are prefixed with `name`.
+void validateBatchInputs(const CsrGraph& prev, const CsrGraph& curr,
+                         const BatchUpdate& batch, const char* name);
 
 /// Runs the initial-marking phase on the calling worker thread. Returns
 /// false if the thread crashed (fault injection); in that case the

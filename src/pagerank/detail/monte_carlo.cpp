@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "pagerank/detail/engine_step.hpp"
+#include "pagerank/detail/marking.hpp"
 #include "pagerank/error.hpp"
 #include "sched/chunk_cursor.hpp"
 #include "sched/thread_team.hpp"
@@ -54,18 +55,8 @@ namespace lfpr::detail {
 
 namespace {
 
-/// Batch-edge chunk for the marking loop (matches engine_step.cpp).
-constexpr std::size_t kEdgeChunkSize = 256;
 /// Walk-id chunk for the parallel build.
 constexpr std::size_t kWalkChunkSize = 256;
-
-std::vector<Edge> concatBatch(const BatchUpdate& batch) {
-  std::vector<Edge> edges;
-  edges.reserve(batch.size());
-  edges.insert(edges.end(), batch.deletions.begin(), batch.deletions.end());
-  edges.insert(edges.end(), batch.insertions.begin(), batch.insertions.end());
-  return edges;
-}
 
 bool stopSeen(const PageRankOptions& opt) noexcept {
   return opt.stopRequested != nullptr &&
@@ -718,16 +709,7 @@ PageRankResult lfMonteCarloStep(LfEngineState& state, const CsrGraph& prev,
   if (state.size() != n)
     throw std::invalid_argument(std::string(name) +
                                 ": state size must match graph");
-  if (prev.numVertices() != curr.numVertices())
-    throw std::invalid_argument(
-        std::string(name) +
-        ": snapshots must share the vertex set (no vertex insertions/deletions)");
-  for (const Edge& e : batch.deletions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
-  for (const Edge& e : batch.insertions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
+  validateBatchInputs(prev, curr, batch, name);
 
   const McConfig cfg{opt.mcWalksPerVertex, opt.mcMaxWalkLength, opt.mcSeed,
                      opt.alpha};
@@ -777,3 +759,32 @@ PageRankResult lfMonteCarloStep(LfEngineState& state, const CsrGraph& prev,
 }
 
 }  // namespace lfpr::detail
+
+namespace lfpr {
+
+std::vector<PprEntry> PprIndex::topK(VertexId root, std::size_t k) const {
+  if (k == 0 || static_cast<std::size_t>(root) + 1 >= offsets.size()) return {};
+  std::vector<VertexId> visited(visitLog.begin() + offsets[root],
+                                visitLog.begin() + offsets[root + 1]);
+  std::sort(visited.begin(), visited.end());
+
+  std::vector<PprEntry> entries;
+  const double scale = (1.0 - alpha) / static_cast<double>(walksPerVertex);
+  for (std::size_t i = 0; i < visited.size();) {
+    std::size_t j = i;
+    while (j < visited.size() && visited[j] == visited[i]) ++j;
+    const double count = static_cast<double>(j - i);
+    entries.push_back({visited[i], scale * count,
+                       mcPprErrorBound(alpha, walksPerVertex, count)});
+    i = j;
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const PprEntry& a, const PprEntry& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.vertex < b.vertex;
+            });
+  if (entries.size() > k) entries.resize(k);
+  return entries;
+}
+
+}  // namespace lfpr

@@ -9,7 +9,8 @@
 
 namespace lfpr {
 
-/// max_i |a[i] - b[i]|; spans must have equal length.
+/// max_i |a[i] - b[i]|, or NaN if any difference is NaN (so a NaN rank
+/// fails every `linfNorm(...) < bound` check); spans must have equal length.
 double linfNorm(std::span<const double> a, std::span<const double> b);
 
 /// sum_i |a[i] - b[i]|.

@@ -84,7 +84,7 @@ class MmapFile {
   }
 
   /// Advise the kernel the mapping will be read sequentially (the
-  /// checksum pass and the weighted arc stream) — best effort.
+  /// checksum pass) — best effort.
   void adviseSequential() const noexcept {
     if (data_ != nullptr)
       ::madvise(const_cast<std::byte*>(data_), size_, MADV_SEQUENTIAL);

@@ -333,6 +333,27 @@ TEST(DynamicPageRank, SequenceOfBatchesStaysAccurate) {
 }
 
 // ----- Input validation ---------------------------------------------------
+//
+// Every entry point that takes an argument must reject a bad one, checked
+// through runApproach over every Approach (the paper's eight plus
+// DeltaPush and MonteCarlo) and through the direct entry points.
+
+constexpr Approach kEveryApproach[] = {
+    Approach::StaticBB, Approach::StaticLF, Approach::NDBB,
+    Approach::NDLF,     Approach::DTBB,     Approach::DTLF,
+    Approach::DFBB,     Approach::DFLF,     Approach::DeltaPush,
+    Approach::MonteCarlo};
+
+/// Static engines ignore prevRanks and MonteCarlo derives its ranks from
+/// walks; every other engine is seeded with prevRanks.
+bool takesPrevRanks(Approach a) {
+  return isDynamicApproach(a) && a != Approach::MonteCarlo;
+}
+
+/// Static and ND engines ignore the prev snapshot and the batch.
+bool takesBatch(Approach a) {
+  return isDynamicApproach(a) && a != Approach::NDBB && a != Approach::NDLF;
+}
 
 TEST(DynamicPageRank, RejectsWrongRankVectorSize) {
   const auto scenario = makeScenario(rmatBase(7, 600, 20), 1e-2, 21, testOptions());
@@ -345,6 +366,13 @@ TEST(DynamicPageRank, RejectsWrongRankVectorSize) {
                std::invalid_argument);
   EXPECT_THROW(dtLF(scenario.prev, scenario.curr, scenario.batch, bad, testOptions()),
                std::invalid_argument);
+  for (Approach a : kEveryApproach) {
+    if (!takesPrevRanks(a)) continue;
+    EXPECT_THROW(runApproach(a, scenario.prev, scenario.curr, scenario.batch, bad,
+                             testOptions()),
+                 std::invalid_argument)
+        << approachName(a);
+  }
 }
 
 TEST(DynamicPageRank, RejectsMismatchedSnapshots) {
@@ -352,15 +380,30 @@ TEST(DynamicPageRank, RejectsMismatchedSnapshots) {
   const auto b = CsrGraph::fromEdges(2, std::vector<Edge>{{0, 0}, {1, 1}});
   const std::vector<double> ranks(3, 1.0 / 3);
   EXPECT_THROW(dfLF(b, a, BatchUpdate{}, ranks, testOptions()), std::invalid_argument);
+  for (Approach approach : kEveryApproach) {
+    if (!takesBatch(approach)) continue;
+    EXPECT_THROW(runApproach(approach, b, a, BatchUpdate{}, ranks, testOptions()),
+                 std::invalid_argument)
+        << approachName(approach);
+  }
 }
 
 TEST(DynamicPageRank, RejectsOutOfRangeBatchEdges) {
   const auto g = CsrGraph::fromEdges(3, std::vector<Edge>{{0, 0}, {1, 1}, {2, 2}});
   const std::vector<double> ranks(3, 1.0 / 3);
-  BatchUpdate batch;
-  batch.insertions = {{0, 9}};
-  EXPECT_THROW(dfLF(g, g, batch, ranks, testOptions()), std::out_of_range);
-  EXPECT_THROW(dfBB(g, g, batch, ranks, testOptions()), std::out_of_range);
+  BatchUpdate insertion;
+  insertion.insertions = {{0, 9}};
+  BatchUpdate deletion;
+  deletion.deletions = {{9, 0}};
+  EXPECT_THROW(dfLF(g, g, insertion, ranks, testOptions()), std::out_of_range);
+  EXPECT_THROW(dfBB(g, g, insertion, ranks, testOptions()), std::out_of_range);
+  for (Approach a : kEveryApproach) {
+    if (!takesBatch(a)) continue;
+    for (const BatchUpdate* batch : {&insertion, &deletion})
+      EXPECT_THROW(runApproach(a, g, g, *batch, ranks, testOptions()),
+                   std::out_of_range)
+          << approachName(a);
+  }
 }
 
 TEST(DynamicPageRank, RunApproachDispatchesEverything) {

@@ -3,6 +3,8 @@
 // reference on generated graphs, convergence semantics, scheduling knobs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "generate/generators.hpp"
@@ -234,6 +236,17 @@ TEST(ErrorMetrics, Basics) {
   EXPECT_DOUBLE_EQ(rankSum(a), 6.0);
   EXPECT_THROW(linfNorm(a, std::vector<double>{1.0}), std::invalid_argument);
   EXPECT_THROW(l1Norm(a, std::vector<double>{1.0}), std::invalid_argument);
+  // A NaN difference anywhere (a diverged or corrupted rank vector) must
+  // fail every `norm < bound` check, wherever it sits in the vector.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& bad :
+       {std::vector<double>{nan, 2.0, 3.0}, std::vector<double>{1.0, 2.0, nan},
+        std::vector<double>{nan, nan, nan}}) {
+    EXPECT_TRUE(std::isnan(linfNorm(a, bad)));
+    EXPECT_TRUE(std::isnan(linfNorm(bad, a)));
+    EXPECT_TRUE(std::isnan(l1Norm(a, bad)));
+    EXPECT_FALSE(linfNorm(a, bad) < 1.0);
+  }
 }
 
 // ----- Parameterized sweeps: chunk sizes x thread counts -----------------
