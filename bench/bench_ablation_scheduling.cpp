@@ -3,7 +3,9 @@
 // dynamically scheduled implementation 14% faster than Eedi et al.'s
 // No-Sync; beyond speed, the fixed partition's unpaced stripes let
 // per-vertex converged flags latch early, degrading accuracy under
-// oversubscription — both effects are quantified here.
+// oversubscription — both effects are quantified here. A drifted static
+// run comes back with converged = no, so the column tells drift apart
+// from a certified result.
 #include "bench_common.hpp"
 
 #include "pagerank/reference.hpp"
@@ -19,7 +21,8 @@ int main() {
       cfg);
 
   const auto specs = representativeDatasets(cfg.scale);
-  Table table({"dataset", "schedule", "runtime_ms", "iterations", "err_vs_ref"});
+  Table table({"dataset", "schedule", "runtime_ms", "iterations", "converged",
+               "err_vs_ref"});
   for (const auto& spec : specs) {
     const auto g = bench::loadCsr(spec, cfg);
     const auto opt = bench::benchOptions(cfg, g.numVertices());
@@ -32,6 +35,7 @@ int main() {
       table.addRow({spec.name, staticSched ? "static-partition" : "dynamic-chunks",
                     bench::fmtMs(ms),
                     Table::count(static_cast<std::uint64_t>(r.iterations)),
+                    r.converged ? "yes" : "no",
                     Table::sci(linfNorm(r.ranks, ref), 2)});
     }
   }

@@ -154,6 +154,16 @@ void markUnconverged(const LfShared& s, VertexId w) {
   LFPR_COUNT(s.stats, flagRmws, s.chunkFlags != nullptr ? 2 : 1);
 }
 
+/// Mark every vertex of [begin, end) that the run computes (all of them,
+/// or the affected ones): no scan can pass until each is pulled again.
+void markRangeUnconverged(const LfShared& s, std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const auto v = static_cast<VertexId>(i);
+    if (s.affected != nullptr && s.affected->load(v) == 0) continue;
+    markUnconverged(s, v);
+  }
+}
+
 /// Dynamic Frontier expansion: v's rank moved by more than tau_f, so its
 /// out-neighbours become affected and unconverged. The caller has already
 /// published v's new rank, so the release marks carry it (part 1 above).
@@ -529,7 +539,16 @@ void lfIterateWorker(const LfShared& s, int tid) {
   const int maxRounds = s.opt.maxIterations;
 
   // Static-schedule ablation (Eedi et al. style): each thread owns a fixed
-  // stripe of the vertex range instead of pulling dynamic chunks.
+  // stripe of the vertex range instead of pulling dynamic chunks. Nothing
+  // paces the stripes and Static has no out-neighbour wakeup, so an owner
+  // whose stripe is clean spins through its rounds while its peers still
+  // move; once it has left, their later updates never re-mark its
+  // vertices, which keep clean flags over stale ranks. An owner that runs
+  // out of rounds therefore re-marks its stripe on the way out (below):
+  // the flags stay the authority and the run ends honestly unconverged
+  // instead of passing a later scan outside its certificate. A stripe
+  // left stale by an owner preempted after a clean sweep is caught by
+  // lfFinishSequential's re-verification instead.
   std::size_t stripeBegin = 0, stripeEnd = n;
   if (s.opt.staticSchedule) {
     const auto t = static_cast<std::size_t>(tid);
@@ -540,7 +559,8 @@ void lfIterateWorker(const LfShared& s, int tid) {
     stripeEnd = n * (t + 1) / numThreads;
   }
 
-  for (int round = 0; round < maxRounds; ++round) {
+  int round = 0;
+  for (; round < maxRounds; ++round) {
     if (exitLoops(s)) break;
 
     if (s.opt.staticSchedule) {
@@ -577,6 +597,10 @@ void lfIterateWorker(const LfShared& s, int tid) {
       break;
     }
   }
+  // Every break above leaves round < maxRounds: only an owner that ran
+  // out of rounds re-marks its (possibly stale) stripe.
+  if (s.opt.staticSchedule && round == maxRounds)
+    markRangeUnconverged(s, stripeBegin, stripeEnd);
   s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
 }
 
@@ -591,6 +615,15 @@ void lfFinishSequential(const LfShared& s) {
   const double base = (1.0 - alpha) / static_cast<double>(n);
   std::uint64_t updates = 0;
   std::size_t scanHint = 0;
+
+  // Static-schedule ablation: a stripe's clean flags certify it only
+  // against the peer values its owner read on its last sweep. An owner
+  // preempted right after a clean sweep keeps clean flags while its peers
+  // move on, and a peer's scan then passes over the stale stripe. Re-mark
+  // everything, so the pass below verifies with at least one full sweep
+  // or, with no budget left, leaves the run honestly unconverged.
+  if (s.opt.staticSchedule && s.worklist == nullptr)
+    markRangeUnconverged(s, 0, n);
 
   // The pass spends what is left of the run's iteration budget (usually
   // plenty: the scan passed well before the cap; typically 0-2 sweeps are

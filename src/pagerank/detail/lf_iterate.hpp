@@ -70,7 +70,9 @@ void lfIterateWorker(const LfShared& shared, int tid);
 /// the round cap — or whose threads all crashed — must stay unconverged
 /// rather than be silently finished on one thread. Because the pass can
 /// itself be capped, engines must derive their converged result from the
-/// flags, not from `allConverged`.
+/// flags, not from `allConverged`. Under `staticSchedule` a passed scan
+/// does not certify stripes whose owners stopped sweeping early, so the
+/// pass re-marks every computed vertex and verifies with full sweeps.
 void lfFinishSequential(const LfShared& shared);
 
 }  // namespace lfpr::detail

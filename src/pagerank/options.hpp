@@ -51,7 +51,13 @@ struct PageRankOptions {
   bool perChunkConvergence = false;
   /// Static-LF ablation: fixed per-thread vertex partitions instead of
   /// dynamic chunks — the Eedi et al. scheduling the paper improves on
-  /// (Section 3.3.2).
+  /// (Section 3.3.2). Nothing paces the stripes, so a stripe can settle
+  /// against peer values that later move, and an owner can run out of
+  /// rounds while its peers still work. A stripe abandoned at the round
+  /// cap re-marks itself, which makes the run report unconverged, and a
+  /// run whose scan passes is re-verified by full sweeps after the join.
+  /// The drift therefore shows up as `converged = false` plus error,
+  /// never as a false certificate.
   bool staticSchedule = false;
   /// Work-discovery scheme for the lock-free engines (see SchedulingMode).
   SchedulingMode scheduling = SchedulingMode::Chunked;
